@@ -280,11 +280,11 @@ int main(int argc, char** argv) {
     }
     t.print();
     std::printf(
-        "\nShape check: one n=1M trial with zipf traffic completes in minutes\n"
+        "\nShape check: one n=1M trial with zipf traffic completes in seconds\n"
         "— per-step cost is the churn delta (view patch) plus the served ops\n"
-        "(shared BFS frontiers), never an O(n + m) rebuild. DEX additionally\n"
-        "fans its walk-port enumeration across %u threads (byte-identical\n"
-        "traces; see --trial-jobs).\n",
+        "(bidirectional searches), never an O(n + m) rebuild. DEX\n"
+        "additionally fans its walk-port enumeration across %u threads\n"
+        "(byte-identical traces; see --trial-jobs).\n",
         intra);
   }
   return 0;

@@ -408,8 +408,7 @@ sim::ChurnBatch OracleBuster::next_batch(const AdversaryView& view,
   const auto nodes = view.alive_nodes();
   // Ring the candidates by BFS distance from a random epicenter and
   // consume the rings round-robin, farthest first — consecutive victims
-  // land in different regions, which is exactly what defeats a
-  // locality-amortizing oracle memo.
+  // land in different regions.
   const NodeId epicenter = nodes[rng.below(nodes.size())];
   const auto dist = graph::bfs_distances(g, epicenter, mask);
   std::uint32_t max_d = 0;

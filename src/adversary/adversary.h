@@ -252,13 +252,13 @@ class CorrelatedFailure final : public Strategy {
                              std::size_t batch_size) override;
 };
 
-/// Oracle-cache-busting churn, batch-native: every step scatters victims
-/// and attach points across as many distinct topology regions as possible —
+/// Region-scattering churn, batch-native: every step scatters victims and
+/// attach points across as many distinct topology regions as possible —
 /// candidates are ringed by BFS distance from a random epicenter and
 /// consumed round-robin across rings, farthest rings first. Each event then
-/// re-homes keys and forces route queries rooted in a different region, so
-/// the DistanceOracle's fixed-size root memo (sim/oracle.h) keeps missing
-/// instead of amortizing — the access pattern the memo is worst at.
+/// re-homes keys and forces route queries rooted in a different region.
+/// Built to defeat a locality-amortizing oracle memo; the oracle
+/// (sim/oracle.h) now keeps none, so this is plain scattered churn.
 class OracleBuster final : public Strategy {
  public:
   /// Single-event fallback: uniform churn (the scatter pattern only exists

@@ -1,8 +1,5 @@
 #include "dex/pcycle.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 namespace dex {
 
 PCycle::PCycle(std::uint64_t p) : p_(p) {
@@ -28,106 +25,18 @@ void PCycle::build_inv_table() const {
 }
 
 std::uint32_t PCycle::distance(Vertex x, Vertex y) const {
-  if (x == y) return 0;
-  // Bidirectional BFS with hash-map distance tables (p can be large, the
-  // explored region is ~O(sqrt p) on an expander).
-  std::unordered_map<Vertex, std::uint32_t> dist_x{{x, 0}}, dist_y{{y, 0}};
-  std::vector<Vertex> frontier_x{x}, frontier_y{y};
-  std::uint32_t depth_x = 0, depth_y = 0;
-
-  auto expand = [&](std::vector<Vertex>& frontier,
-                    std::unordered_map<Vertex, std::uint32_t>& mine,
-                    const std::unordered_map<Vertex, std::uint32_t>& other,
-                    std::uint32_t& depth) -> std::int64_t {
-    std::vector<Vertex> next;
-    ++depth;
-    for (Vertex v : frontier) {
-      for (Vertex w : ports(v)) {
-        if (mine.contains(w)) continue;
-        mine.emplace(w, depth);
-        auto it = other.find(w);
-        if (it != other.end())
-          return static_cast<std::int64_t>(depth + it->second);
-        next.push_back(w);
-      }
-    }
-    frontier.swap(next);
-    return -1;
-  };
-
-  // Expand the smaller frontier each turn. The graph is connected, so the
-  // loop terminates.
-  while (true) {
-    DEX_ASSERT_MSG(!frontier_x.empty() || !frontier_y.empty(),
-                   "p-cycle BFS exhausted without meeting");
-    std::int64_t met;
-    if (!frontier_x.empty() &&
-        (frontier_y.empty() || frontier_x.size() <= frontier_y.size())) {
-      met = expand(frontier_x, dist_x, dist_y, depth_x);
-    } else {
-      met = expand(frontier_y, dist_y, dist_x, depth_y);
-    }
-    if (met >= 0) {
-      // The first meeting gives a path; it may overshoot the true distance
-      // by at most 1 level per side — tighten by scanning both tables.
-      std::uint32_t best = static_cast<std::uint32_t>(met);
-      // det: min over all meeting vertices — commutative, order cannot leak.
-      for (const auto& [v, dv] : dist_x) {
-        auto it = dist_y.find(v);
-        if (it != dist_y.end()) best = std::min(best, dv + it->second);
-      }
-      return best;
-    }
-  }
+  return search_.distance(p_, static_cast<std::uint32_t>(x),
+                          static_cast<std::uint32_t>(y),
+                          [this](std::uint32_t v) { return ports(v); });
 }
 
 std::vector<Vertex> PCycle::shortest_path(Vertex x, Vertex y) const {
-  if (x == y) return {x};
-  // Forward BFS from x until y is discovered. Same discovery discipline as
-  // ever (frontier in order, ports {succ, pred, inv}, first discoverer is
-  // the parent) — only the bookkeeping changed, from per-call hash maps to
-  // flat epoch-stamped arrays: ~an order of magnitude less work per op on
-  // the traffic hot path, where this runs for every distinct (origin, home)
-  // pair of a step.
-  if (seen_epoch_.size() != p_) {
-    seen_epoch_.assign(p_, 0);
-    seen_parent_.assign(p_, 0);
-    epoch_ = 0;
-  }
-  if (++epoch_ == 0) {  // stamp wrap: one real clear every 2^32 calls
-    seen_epoch_.assign(p_, 0);
-    epoch_ = 1;
-  }
-  auto& frontier = frontier_scratch_[0];
-  auto& next = frontier_scratch_[1];
-  frontier.clear();
-  frontier.push_back(x);
-  seen_epoch_[x] = epoch_;
-  seen_parent_[x] = x;
-  while (!frontier.empty()) {
-    next.clear();
-    for (const Vertex v : frontier) {
-      for (const Vertex w : ports(v)) {
-        if (seen_epoch_[w] == epoch_) continue;
-        seen_epoch_[w] = epoch_;
-        seen_parent_[w] = v;
-        if (w == y) {
-          std::vector<Vertex> path{y};
-          Vertex cur = y;
-          while (cur != x) {
-            cur = seen_parent_[cur];
-            path.push_back(cur);
-          }
-          std::reverse(path.begin(), path.end());
-          return path;
-        }
-        next.push_back(w);
-      }
-    }
-    frontier.swap(next);
-  }
-  DEX_ASSERT_MSG(false, "shortest_path: target unreachable on the p-cycle");
-  return {};
+  std::vector<Vertex> path;
+  search_.path(p_, static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y),
+               [this](std::uint32_t v) { return ports(v); }, path);
+  DEX_ASSERT_MSG(!path.empty(),
+                 "shortest_path: target unreachable on the p-cycle");
+  return path;
 }
 
 void PCycle::ensure_zero_tree() const {

@@ -12,16 +12,18 @@
 /// three ports (a self-loop counting 1), giving an infinite 3-regular family
 /// with a constant spectral gap.
 ///
-/// The adjacency is fully analytic — neighbors cost O(log p) (one modular
-/// inverse) — so the virtual graph is never materialized. Shortest paths
-/// are computed on demand by bidirectional BFS (the graph is an expander,
-/// so frontiers meet after ~diam/2 = O(log p) levels) and, for the
-/// coordinator's fixed target (vertex 0), via a cached BFS tree.
+/// The adjacency is fully analytic — neighbors cost one lookup in a lazily
+/// built inverse table — so the virtual graph is never materialized.
+/// Distances and shortest paths are computed on demand by bidirectional BFS
+/// (graph/bidir.h; the graph is an expander, so the frontiers meet after
+/// ~diam/2 = O(log p) levels) and, for the coordinator's fixed target
+/// (vertex 0), via a cached BFS tree.
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "graph/bidir.h"
 #include "support/assert.h"
 #include "support/mathutil.h"
 
@@ -62,12 +64,20 @@ class PCycle {
   /// Distance from x to y (bidirectional BFS; O(sqrt p)-ish work).
   [[nodiscard]] std::uint32_t distance(Vertex x, Vertex y) const;
 
-  /// A shortest path from x to y, inclusive of both endpoints. Forward BFS
-  /// from x over flat epoch-stamped scratch arrays (reused across calls, so
-  /// the traffic hot path runs allocation- and hash-free); the discovery
-  /// order — frontier in order, ports {succ, pred, inv} — is the tie-break
-  /// contract routing depends on, so the returned path never drifts.
+  /// A shortest path from x to y, inclusive of both endpoints, by
+  /// bidirectional BFS over scratch reused across calls (the traffic hot
+  /// path runs allocation- and hash-free). The tie-break contract routing
+  /// depends on: the path is the one a forward BFS from x returns when it
+  /// scans the frontier in order, ports {succ, pred, inv}, and keeps first
+  /// discoverers as parents — the lexicographically least shortest path in
+  /// port order — so the returned path never drifts.
   [[nodiscard]] std::vector<Vertex> shortest_path(Vertex x, Vertex y) const;
+
+  /// Ports scanned by distance() and shortest_path() since construction:
+  /// the machine-independent work count behind the routing cost pins.
+  [[nodiscard]] std::uint64_t scanned_ports() const {
+    return search_.scanned();
+  }
 
   /// Distance to vertex 0 using the cached BFS tree (O(1) after the first
   /// call, which builds the tree in O(p)).
@@ -101,12 +111,8 @@ class PCycle {
   // Lazily built BFS tree rooted at 0: parent pointer per vertex.
   mutable std::vector<std::uint32_t> zero_dist_;
   mutable std::vector<Vertex> zero_parent_;
-  // shortest_path scratch: epoch stamps mark "seen this call" without an
-  // O(p) clear per call; parents are valid where stamp matches epoch.
-  mutable std::vector<std::uint32_t> seen_epoch_;
-  mutable std::vector<Vertex> seen_parent_;
-  mutable std::vector<Vertex> frontier_scratch_[2];
-  mutable std::uint32_t epoch_ = 0;
+  // distance()/shortest_path() scratch, reused across calls.
+  mutable graph::BidirSearch search_;
 };
 
 }  // namespace dex

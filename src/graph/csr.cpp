@@ -195,46 +195,21 @@ void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist
   }
 }
 
-std::vector<NodeId> csr_shortest_path(const CsrView& g, NodeId src,
-                                      NodeId dst) {
-  CsrPathScratch scratch;
-  return csr_shortest_path(g, src, dst, scratch);
+std::vector<NodeId> csr_shortest_path(const CsrView& g, NodeId src, NodeId dst,
+                                      BidirSearch& scratch) {
+  if (src == dst) return {src};
+  std::vector<NodeId> path;
+  if (!g.alive(src) || !g.alive(dst)) return path;
+  scratch.path(g.node_count(), src, dst,
+               [&g](NodeId u) { return g.neighbors(u); }, path);
+  return path;
 }
 
-std::vector<NodeId> csr_shortest_path(const CsrView& g, NodeId src, NodeId dst,
-                                      CsrPathScratch& scratch) {
-  if (src == dst) return {src};
-  if (!g.alive(src) || !g.alive(dst)) return {};
-  // Parent pointers in discovery order; identical tie-breaks to the
-  // Multigraph BFS (ports scanned in source order). Stamps make entries
-  // from earlier calls invisible without an O(n) clear.
-  if (scratch.parent.size() < g.node_count()) {
-    scratch.parent.resize(g.node_count(), kInvalidNode);
-    scratch.stamp.resize(g.node_count(), 0);
-  }
-  ++scratch.gen;
-  const auto seen = [&](NodeId u) { return scratch.stamp[u] == scratch.gen; };
-  scratch.queue.clear();
-  scratch.queue.push_back(src);
-  scratch.stamp[src] = scratch.gen;
-  scratch.parent[src] = src;
-  std::size_t head = 0;
-  while (head < scratch.queue.size() && !seen(dst)) {
-    const NodeId u = scratch.queue[head++];
-    for (const NodeId v : g.neighbors(u)) {
-      if (seen(v)) continue;
-      scratch.stamp[v] = scratch.gen;
-      scratch.parent[v] = u;
-      scratch.queue.push_back(v);
-    }
-  }
-  if (!seen(dst)) return {};
-  std::vector<NodeId> path{dst};
-  for (NodeId u = dst; u != src; u = scratch.parent[u]) {
-    path.push_back(scratch.parent[u]);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+std::uint32_t csr_distance(const CsrView& g, NodeId src, NodeId dst,
+                           BidirSearch& scratch) {
+  if (!g.alive(src) || !g.alive(dst)) return kUnreached;
+  return scratch.distance(g.node_count(), src, dst,
+                          [&g](NodeId u) { return g.neighbors(u); });
 }
 
 }  // namespace dex::graph

@@ -39,6 +39,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/bidir.h"
 #include "graph/multigraph.h"
 
 namespace dex::graph {
@@ -157,26 +158,19 @@ class CsrView {
 void csr_bfs_fill(const CsrView& g, NodeId src, std::vector<std::uint32_t>& dist,
                   std::vector<NodeId>& scratch);
 
-/// BFS shortest path src -> dst inclusive of both endpoints ({src} when
-/// src == dst, empty when unreachable or either endpoint is dead). Parent
-/// choices follow port order, matching the Multigraph BFS route default.
-[[nodiscard]] std::vector<NodeId> csr_shortest_path(const CsrView& g,
-                                                    NodeId src, NodeId dst);
-
-/// Epoch-stamped scratch for the allocation-free csr_shortest_path overload
-/// below: parent entries are valid only where the stamp matches the current
-/// generation, so repeated calls never pay an O(n) clear.
-struct CsrPathScratch {
-  std::vector<NodeId> parent;
-  std::vector<std::uint32_t> stamp;
-  std::vector<NodeId> queue;
-  std::uint32_t gen = 0;
-};
-
-/// csr_shortest_path without the per-call O(n) parent allocation: identical
-/// result, scratch reused across calls (the PCycle::shortest_path idiom).
+/// Shortest path src -> dst inclusive of both endpoints ({src} when
+/// src == dst, empty when unreachable or either endpoint is dead). The path
+/// is the one a forward BFS from src with first-discoverer parents in row
+/// order returns (the Multigraph BFS route default), found by the
+/// bidirectional search of graph/bidir.h with `scratch` reused across
+/// calls.
 [[nodiscard]] std::vector<NodeId> csr_shortest_path(const CsrView& g,
                                                     NodeId src, NodeId dst,
-                                                    CsrPathScratch& scratch);
+                                                    BidirSearch& scratch);
+
+/// Exact distance src -> dst (kUnreached when disconnected or either
+/// endpoint is dead, 0 when src == dst is alive) by the same search.
+[[nodiscard]] std::uint32_t csr_distance(const CsrView& g, NodeId src,
+                                         NodeId dst, BidirSearch& scratch);
 
 }  // namespace dex::graph

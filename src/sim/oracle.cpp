@@ -1,8 +1,5 @@
 #include "sim/oracle.h"
 
-#include <algorithm>
-
-#include "graph/bfs.h"
 #include "support/assert.h"
 
 namespace dex::sim {
@@ -11,105 +8,45 @@ using graph::NodeId;
 
 void DistanceOracle::attach(const graph::CsrView& view) {
   view_ = &view;
-  by_root_.clear();
-  root_queries_.clear();
-  for (auto& s : slots_) {
-    s.root = graph::kInvalidNode;
-    s.reach_done = false;
-  }
-  next_slot_ = 0;
+  root_ = graph::kInvalidNode;
+  reach_done_ = false;
   bfs_runs_ = 0;
 }
 
-DistanceOracle::Slot* DistanceOracle::find(NodeId root) {
-  const auto it = by_root_.find(root);
-  return it == by_root_.end() ? nullptr : &slots_[it->second];
-}
-
-DistanceOracle::Slot& DistanceOracle::materialize(NodeId root) {
+void DistanceOracle::materialize(NodeId root) {
   DEX_ASSERT_MSG(view_ != nullptr, "DistanceOracle used before attach()");
-  if (Slot* hit = find(root)) return *hit;
-  if (slots_.size() < kMaxRoots) {
-    // Reserved to the cap up front so growth never reallocates: a Slot
-    // reference handed out by from() must survive materializing calls on
-    // *other* slots (it still dies with slot recycling — see from()'s
-    // lifetime note).
-    if (slots_.capacity() < kMaxRoots) slots_.reserve(kMaxRoots);
-    slots_.emplace_back();
-    next_slot_ = slots_.size() - 1;
-  }
-  Slot& slot = slots_[next_slot_];
-  if (slot.root != graph::kInvalidNode) by_root_.erase(slot.root);
-  by_root_[root] = next_slot_;
-  next_slot_ = (next_slot_ + 1) % kMaxRoots;
-  slot.root = root;
-  slot.reach_done = false;
-  graph::csr_bfs_fill(*view_, root, slot.dist, scratch_);
+  if (root_ == root) return;
+  root_ = root;
+  reach_done_ = false;
+  graph::csr_bfs_fill(*view_, root, dist_, queue_);
   ++bfs_runs_;
-  return slot;
-}
-
-std::uint32_t DistanceOracle::probe(NodeId src, NodeId dst) {
-  if (probe_stamp_.size() != view_->node_count()) {
-    probe_stamp_.assign(view_->node_count(), 0);
-    probe_dist_.assign(view_->node_count(), 0);
-    probe_gen_ = 0;
-  }
-  if (++probe_gen_ == 0) {  // stamp wrap: one real clear every 2^32 probes
-    std::fill(probe_stamp_.begin(), probe_stamp_.end(), 0);
-    probe_gen_ = 1;
-  }
-  ++bfs_runs_;
-  probe_queue_.clear();
-  probe_queue_.push_back(src);
-  probe_stamp_[src] = probe_gen_;
-  probe_dist_[src] = 0;
-  std::size_t head = 0;
-  while (head < probe_queue_.size()) {
-    const NodeId x = probe_queue_[head++];
-    const std::uint32_t d = probe_dist_[x] + 1;
-    for (const NodeId y : view_->neighbors(x)) {
-      if (probe_stamp_[y] == probe_gen_) continue;
-      probe_stamp_[y] = probe_gen_;
-      probe_dist_[y] = d;
-      if (y == dst) return d;
-      probe_queue_.push_back(y);
-    }
-  }
-  return graph::kUnreached;
 }
 
 std::uint32_t DistanceOracle::distance(NodeId u, NodeId v) {
   DEX_ASSERT_MSG(view_ != nullptr, "DistanceOracle used before attach()");
-  if (u == v) return view_->alive(u) ? 0 : graph::kUnreached;
-  if (!view_->alive(u) || !view_->alive(v)) return graph::kUnreached;
-  if (const Slot* hit = find(v)) return hit->dist[u];
-  if (const Slot* hit = find(u)) return hit->dist[v];
-  // Callers pass (origin, home), so v is the repeating side. Memoize on
-  // repeat: the first query for a root takes an early-exit probe, a second
-  // buys the full frontier the rest of the step shares.
-  if (++root_queries_[v] < 2) return probe(v, u);
-  return materialize(v).dist[u];
+  ++bfs_runs_;
+  return graph::csr_distance(*view_, u, v, search_);
 }
 
 const std::vector<std::uint32_t>& DistanceOracle::from(NodeId src) {
-  return materialize(src).dist;
+  materialize(src);
+  return dist_;
 }
 
 DistanceOracle::Reach DistanceOracle::reach(NodeId src) {
-  Slot& slot = materialize(src);
-  if (!slot.reach_done) {
+  materialize(src);
+  if (!reach_done_) {
     Reach r;
-    for (NodeId u = 0; u < slot.dist.size(); ++u) {
-      if (view_->alive(u) && slot.dist[u] != graph::kUnreached) {
-        r.sum += slot.dist[u];
+    for (NodeId u = 0; u < dist_.size(); ++u) {
+      if (view_->alive(u) && dist_[u] != graph::kUnreached) {
+        r.sum += dist_[u];
         ++r.count;
       }
     }
-    slot.reach = r;
-    slot.reach_done = true;
+    reach_ = r;
+    reach_done_ = true;
   }
-  return slot.reach;
+  return reach_;
 }
 
 }  // namespace dex::sim

@@ -2,107 +2,76 @@
 
 /// \file oracle.h
 /// DistanceOracle — the per-step route/placement oracle behind the traffic
-/// layer's hop accounting. Serving one key-value op used to cost a fresh
-/// O(n + m) BFS over the live view (twice on DEX: once for the realized
-/// path, once for the BFS optimum), which is fine at n = 1000 and unusable
-/// at the populations where the paper's O(log n) claims get interesting.
+/// layer's hop accounting: the exact BFS optimum d(origin, home) every op's
+/// stretch is measured against, and the whole-survivor distance vectors the
+/// re-homing transfer pricing needs.
 ///
-/// The oracle exploits two facts about a step's ops:
-///  * BFS distance is symmetric on an undirected multigraph, so
-///    d(origin, home) can be answered from a single-source BFS rooted at
-///    *either* endpoint; and
-///  * homes repeat heavily (Zipf/hotspot traffic concentrates keys, and a
-///    step's displaced keys share destinations), so rooting at the home
-///    side lets one frontier serve every op aimed there.
+/// Point queries run the bidirectional search of graph/bidir.h on the
+/// step's CsrView (graph/csr.h): on an expander the two frontiers meet
+/// after ~diam/2 levels, so a query touches O(sqrt n)-ish vertices instead
+/// of the O(n + m) a single-source BFS pays. Each query is answered fresh —
+/// no memo — and every answer is an exact BFS distance, which the property
+/// tests pin against graph::csr_bfs_fill across all six backends.
 ///
-/// It therefore memoizes whole single-source distance vectors over the
-/// step's CsrView (graph/csr.h), keyed by root, in a small ring of reusable
-/// slots. A query hits if either endpoint is memoized; otherwise one BFS
-/// runs from the preferred root and joins the ring. Eviction is FIFO and
-/// affects only speed — every answer is an exact BFS distance, which the
-/// property tests pin against graph::bfs_distances across all six backends.
+/// Rehash pricing (sim::KvStore::sync) does need whole vectors: from() and
+/// reach() fill one full single-source slot, which serves the from() ->
+/// reach() pair for one root. sync() prices one destination at a time in
+/// sorted order, so a single slot is all it ever reuses.
 ///
 /// The owner (sim::KvStore) calls attach() once per churn step with the
-/// step's frozen CsrView; attach clears the memo (the topology changed) but
-/// keeps the slot buffers, so steady state runs allocation-free.
+/// step's frozen CsrView; attach drops the slot (the topology changed) but
+/// keeps the buffers, so steady state runs allocation-free.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "graph/bidir.h"
 #include "graph/csr.h"
 
 namespace dex::sim {
 
 class DistanceOracle {
  public:
-  /// Memoized single-source vectors kept per step. Beyond this, the oldest
-  /// root is evicted (FIFO); correctness is unaffected.
-  static constexpr std::size_t kMaxRoots = 32;
-
-  /// Points the oracle at the step's live view and clears the memo. The
+  /// Points the oracle at the step's live view and drops the slot. The
   /// view is borrowed: it must stay alive and unchanged until the next
   /// attach() (sim::KvStore re-attaches on every sync()).
   void attach(const graph::CsrView& view);
 
   /// Exact BFS distance between u and v on the attached view
-  /// (graph::kUnreached when disconnected or either endpoint is dead).
-  /// Answered from a memoized vector when either endpoint is a known root.
-  /// On a miss, `v`'s popularity decides the work — callers pass
-  /// (origin, home) so the repeating side drives it: a home seen for the
-  /// first time this step gets a cheap early-exit probe (the cold tail of
-  /// a uniform workload never pays for frontiers nobody will reuse), a
-  /// home seen again is worth a full single-source BFS that joins the memo
-  /// and serves the rest of the step's ops for free.
+  /// (graph::kUnreached when disconnected or either endpoint is dead), by
+  /// bidirectional search.
   [[nodiscard]] std::uint32_t distance(graph::NodeId u, graph::NodeId v);
 
-  /// The full distance vector from `src` (memoizing it as a root). Used by
-  /// the re-homing transfer pricing, which needs every survivor's distance.
-  /// Lifetime: the reference stays valid (and keeps meaning `src`) only
-  /// until the next materializing call — distance()/from()/reach() on a new
-  /// root may recycle the slot — or attach(). Read it before querying on.
+  /// The full distance vector from `src`, filled into the single slot
+  /// unless `src` already holds it. Used by the re-homing transfer pricing,
+  /// which needs every survivor's distance. Lifetime: the reference stays
+  /// valid (and keeps meaning `src`) only until from()/reach() on another
+  /// root or attach(). Read it before querying on.
   [[nodiscard]] const std::vector<std::uint32_t>& from(graph::NodeId src);
 
   /// Sum/count of finite distances from `src` over the alive set (the
   /// expected-recovery-pull mean used by KvStore::sync), computed once per
-  /// root and cached with it.
+  /// slot fill and cached with it.
   struct Reach {
     std::uint64_t sum = 0;
     std::uint64_t count = 0;
   };
   [[nodiscard]] Reach reach(graph::NodeId src);
 
-  /// BFS runs (probes + full frontiers) since attach() — the number the
-  /// sharing saves; exposed so tests can assert it actually happens.
+  /// Searches run since attach(): distance() queries plus full slot fills.
   [[nodiscard]] std::uint64_t bfs_runs() const { return bfs_runs_; }
 
  private:
-  struct Slot {
-    graph::NodeId root = graph::kInvalidNode;
-    std::vector<std::uint32_t> dist;
-    Reach reach;
-    bool reach_done = false;
-  };
-
-  [[nodiscard]] Slot* find(graph::NodeId root);
-  [[nodiscard]] Slot& materialize(graph::NodeId root);
-  /// Early-exit BFS src -> dst over epoch-stamped scratch (no O(n) clear,
-  /// no memo entry): the cold-pair path.
-  [[nodiscard]] std::uint32_t probe(graph::NodeId src, graph::NodeId dst);
+  /// Fills the slot from `root` unless it already holds it.
+  void materialize(graph::NodeId root);
 
   const graph::CsrView* view_ = nullptr;
-  std::vector<Slot> slots_;
-  std::size_t next_slot_ = 0;  ///< FIFO ring cursor
-  std::unordered_map<graph::NodeId, std::size_t> by_root_;
-  /// Roots queried this step (memoize-on-repeat gating).
-  std::unordered_map<graph::NodeId, std::uint32_t> root_queries_;
-  std::vector<graph::NodeId> scratch_;
-  /// probe() scratch: stamps mark "seen this probe" without a per-call
-  /// clear; dist entries are valid where the stamp matches.
-  std::vector<std::uint32_t> probe_stamp_;
-  std::vector<std::uint32_t> probe_dist_;
-  std::vector<graph::NodeId> probe_queue_;
-  std::uint32_t probe_gen_ = 0;
+  graph::NodeId root_ = graph::kInvalidNode;  ///< the slot's root
+  std::vector<std::uint32_t> dist_;
+  Reach reach_;
+  bool reach_done_ = false;
+  std::vector<graph::NodeId> queue_;  ///< csr_bfs_fill frontier
+  graph::BidirSearch search_;
   std::uint64_t bfs_runs_ = 0;
 };
 

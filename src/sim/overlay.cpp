@@ -10,13 +10,10 @@ std::vector<NodeId> HealingOverlay::route(NodeId src, NodeId dst,
   // BFS shortest path on the flat live view; parent tie-breaks follow port
   // order, so the path is the one the Multigraph-walking default always
   // returned.
-  return graph::csr_shortest_path(live, src, dst);
+  return graph::csr_shortest_path(live, src, dst, route_search_);
 }
 
 BatchOutcome DexOverlay::apply(const ChurnBatch& batch) {
-  // The parallel path below mutates net_ without going through insert()/
-  // remove(); invalidate the route memo up front either way.
-  ++topo_gen_;
   if (parallel_batches_ && batch.size() > 1) {
     dex::BatchRequest req{batch.attach_to, batch.victims};
     // The runner's maintained CSR (when wired and current) turns the
@@ -54,19 +51,6 @@ BatchOutcome DexOverlay::apply(const ChurnBatch& batch) {
 std::vector<NodeId> DexOverlay::route(NodeId src, NodeId dst,
                                       const graph::CsrView& live) const {
   if (src == dst) return {src};
-  // The p-cycle contraction below is a pure function of the mapping, which
-  // only churn mutates — so one step's repeated (src, dst) pairs (Zipf
-  // traffic hammering a hot home) are answered from the memo. insert()/
-  // remove()/apply() bump topo_gen_, which lazily flushes the cache here.
-  if (route_memo_gen_ != topo_gen_) {
-    route_memo_.clear();
-    route_memo_gen_ = topo_gen_;
-  }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(src) << 32) | static_cast<std::uint64_t>(dst);
-  if (const auto it = route_memo_.find(key); it != route_memo_.end()) {
-    return it->second;
-  }
   std::vector<NodeId> path;
   const auto& ss = net_.mapping().sim(src);
   const auto& ds = net_.mapping().sim(dst);
@@ -87,7 +71,6 @@ std::vector<NodeId> DexOverlay::route(NodeId src, NodeId dst,
     }
     DEX_ASSERT(path.front() == src && path.back() == dst);
   }
-  route_memo_.emplace(key, path);
   return path;
 }
 

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "adversary/adversary.h"
@@ -149,15 +148,16 @@ class HealingOverlay {
   /// state, so their canonical request path is a BFS shortest path on what
   /// they see — that is this default. DexOverlay overrides it with the
   /// locally computable p-cycle route of §4.4.4 (no global view needed, at
-  /// the price of stretch > 1 against the BFS optimum), memoized per
-  /// (src, dst) until the next churn event.
+  /// the price of stretch > 1 against the BFS optimum). Both search
+  /// bidirectionally (graph/bidir.h) over scratch the overlay keeps.
   [[nodiscard]] virtual std::vector<NodeId> route(
       NodeId src, NodeId dst, const graph::CsrView& live) const;
 
   /// Whether route() returns a shortest path on the given view. True for
   /// the BFS default; overlays routing on their own structure (DEX) return
   /// false, and consumers measuring stretch (sim::KvStore) then pay one
-  /// extra BFS per request for the optimum instead of assuming it.
+  /// extra distance query per request for the optimum instead of assuming
+  /// it.
   [[nodiscard]] virtual bool route_is_shortest() const { return true; }
 
   // ----- cost accounting -----
@@ -238,6 +238,8 @@ class HealingOverlay {
 
  private:
   std::function<const graph::CsrView*()> live_view_provider_;
+  /// The default route()'s search scratch (one overlay, one thread).
+  mutable graph::BidirSearch route_search_;
 };
 
 /// The one AdversaryView builder (replaces the per-backend view_of()
@@ -394,9 +396,9 @@ class DexOverlay final : public OverlayAdapter<DexNetwork> {
   /// of src and one of dst, contracted through the virtual mapping — every
   /// hop is a materialized real edge, and both endpoints compute it from
   /// O(log n) local state (the cached view is ignored). Mid-build newcomers
-  /// without an owned vertex fall back to the BFS default. Contractions are
-  /// memoized per (src, dst) between churn events, so a step's repeated
-  /// origin–home pairs pay the p-cycle BFS once.
+  /// without an owned vertex fall back to the BFS default. Every call runs
+  /// PCycle::shortest_path afresh: its bidirectional search touches
+  /// O(sqrt p)-ish vertices, so a per-pair memo does not pay.
   [[nodiscard]] std::vector<NodeId> route(
       NodeId src, NodeId dst, const graph::CsrView& live) const override;
 
@@ -404,14 +406,8 @@ class DexOverlay final : public OverlayAdapter<DexNetwork> {
   /// measured stretch).
   [[nodiscard]] bool route_is_shortest() const override { return false; }
 
-  NodeId insert(NodeId attach_to) override {
-    ++topo_gen_;
-    return net_.insert(attach_to);
-  }
-  void remove(NodeId victim) override {
-    ++topo_gen_;
-    net_.remove(victim);
-  }
+  NodeId insert(NodeId attach_to) override { return net_.insert(attach_to); }
+  void remove(NodeId victim) override { net_.remove(victim); }
   [[nodiscard]] std::size_t load(NodeId u) const override {
     return static_cast<std::size_t>(net_.total_load(u));
   }
@@ -423,11 +419,6 @@ class DexOverlay final : public OverlayAdapter<DexNetwork> {
  private:
   const char* name_;
   bool parallel_batches_ = true;
-  /// Bumped on every mutation; route() flushes its memo when it observes a
-  /// new generation (lazy, so pure-churn runs never touch the map).
-  std::uint64_t topo_gen_ = 0;
-  mutable std::uint64_t route_memo_gen_ = 0;
-  mutable std::unordered_map<std::uint64_t, std::vector<NodeId>> route_memo_;
 };
 
 class FloodRebuildOverlay final

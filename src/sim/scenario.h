@@ -345,10 +345,10 @@ class ScenarioRunner {
 /// (coordinator killer), "load-attack", "spectral", "greedy-spectral",
 /// plus the batch-native workloads "burst" (mixed §5-safe bursts),
 /// "flash-crowd" (insert waves), "mass-failure" (correlated clustered
-/// deletions), "oracle-bust" (region-scattering churn that defeats the
-/// DistanceOracle's root memo), "chord-cut" (betweenness-proxy deletion of
-/// p-cycle chord carriers) and "spectral-batch" (whole-batch sweep-cut
-/// demolition). Returns nullptr for unknown names.
+/// deletions), "oracle-bust" (region-scattering churn), "chord-cut"
+/// (betweenness-proxy deletion of p-cycle chord carriers) and
+/// "spectral-batch" (whole-batch sweep-cut demolition). Returns nullptr for
+/// unknown names.
 struct StrategyOptions {
   double insert_prob = 0.5;      ///< churn, burst (insert fraction)
   std::size_t half_period = 32;  ///< oscillate

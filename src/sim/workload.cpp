@@ -77,8 +77,8 @@ NodeId KvStore::resolve_origin(NodeId origin) const {
 bool KvStore::route_op(NodeId origin, NodeId home, OpResult& out) {
   if (overlay_.route_is_shortest()) {
     // The realized path is the BFS optimum already, so the op needs only a
-    // distance — answered from the step's shared BFS frontiers instead of
-    // materializing a fresh path per request.
+    // distance — the oracle's bidirectional search, with no path to
+    // materialize.
     const std::uint32_t d = oracle_.distance(origin, home);
     if (d == graph::kUnreached) return false;
     out.hops = d;
@@ -178,8 +178,8 @@ KvStore::SyncStats KvStore::sync(const adversary::AdversaryView& view) {
   // One BFS per distinct destination prices every transfer to it: the exact
   // old->new distance when the old host survived (a handover), else the mean
   // distance from the new home (the expected pull from wherever the healed
-  // overlay recovered the item). The oracle memoizes these frontiers, so
-  // the step's ops aimed at the same homes reuse them for free.
+  // overlay recovered the item). Sorting by destination lets the oracle's
+  // single slot serve from() and reach() for each one.
   std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
     return a.to != b.to ? a.to < b.to : a.key < b.key;
   });

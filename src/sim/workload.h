@@ -29,12 +29,12 @@
 ///    each applied ChurnBatch; its per-step tallies flow into StepRecord
 ///    and from there through every sink.
 ///
-/// Serving cost per op is amortized ~O(1) in the live view size: the store
+/// Routing an op costs far less than a pass over the live view: the store
 /// keeps a flat CSR snapshot of the step's topology (graph/csr.h, taken
 /// from the runner's CachedView), answers hop optima through a per-step
-/// DistanceOracle (sim/oracle.h) whose single-source BFS frontiers are
-/// shared across the step's ops, and re-homes keys from per-key top-K
-/// rendezvous candidate lists instead of rescanning the whole alive set.
+/// DistanceOracle (sim/oracle.h) that searches bidirectionally, and
+/// re-homes keys from per-key top-K rendezvous candidate lists instead of
+/// rescanning the whole alive set.
 ///
 /// This header sits between sim/overlay.h and sim/scenario.h: it needs the
 /// overlay surface and the AdversaryView, while ScenarioSpec embeds

@@ -2,15 +2,20 @@
 // 3-regularity (self-loops at 0, 1, p−1), inverse-chord symmetry,
 // connectivity, logarithmic diameter, and a directly computed spectral gap
 // bounded away from zero across the family — the property everything else
-// rests on.
+// rests on. Plus the routing contract: the bidirectional shortest_path is
+// vertex-identical to a forward-BFS reference kept here, and its work stays
+// far below O(p).
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "dex/pcycle.h"
 #include "graph/bfs.h"
 #include "graph/multigraph.h"
 #include "graph/spectral.h"
 #include "support/mathutil.h"
+#include "support/prng.h"
 
 using dex::PCycle;
 using dex::Vertex;
@@ -24,6 +29,40 @@ dex::graph::Multigraph materialize(const PCycle& c) {
                static_cast<dex::graph::NodeId>(y));
   });
   return g;
+}
+
+/// The slow reference: a full forward BFS from x, scanning the frontier in
+/// order and ports {succ, pred, inv}, first discoverer as parent. Stopping
+/// at y (what routing did before) leaves y's parent chain unchanged, so one
+/// tree answers every target.
+std::vector<Vertex> forward_bfs_parents(const PCycle& c, Vertex x) {
+  std::vector<Vertex> parent(c.p(), c.p());
+  std::vector<Vertex> frontier{x}, next;
+  parent[x] = x;
+  while (!frontier.empty()) {
+    next.clear();
+    for (const Vertex v : frontier) {
+      for (const Vertex w : c.ports(v)) {
+        if (parent[w] != c.p()) continue;
+        parent[w] = v;
+        next.push_back(w);
+      }
+    }
+    frontier.swap(next);
+  }
+  return parent;
+}
+
+std::vector<Vertex> reference_path(const std::vector<Vertex>& parent,
+                                   Vertex x, Vertex y) {
+  std::vector<Vertex> path{y};
+  while (path.back() != x) path.push_back(parent[path.back()]);
+  return {path.rbegin(), path.rend()};
+}
+
+/// The cycle size DexNetwork picks for n0 nodes.
+std::uint64_t cycle_prime(std::uint64_t n0) {
+  return dex::support::inflation_prime(n0);
 }
 
 }  // namespace
@@ -126,6 +165,53 @@ TEST(PCycle, ShortestPathIsValidAndShortest) {
       }
     }
   }
+}
+
+// Differential: >= 10k pairs per size (100 random sources x 100 random
+// targets, sharing one reference tree per source), plus x == y, the three
+// neighbours of every source, and the self-looped vertices 0, 1 and p−1 as
+// both sources and targets.
+TEST(PCycle, ShortestPathIsVertexIdenticalToForwardBfs) {
+  for (const std::uint64_t n0 : {500ULL, 20000ULL}) {
+    const PCycle c(cycle_prime(n0));
+    const Vertex p = c.p();
+    dex::support::Rng rng(n0);
+    std::vector<Vertex> sources{0, 1, p - 1};
+    while (sources.size() < 103) sources.push_back(rng.below(p));
+    std::size_t checked = 0;
+    for (const Vertex x : sources) {
+      const auto parent = forward_bfs_parents(c, x);
+      std::vector<Vertex> targets{x, 0, 1, p - 1};
+      for (const Vertex w : c.ports(x)) targets.push_back(w);
+      while (targets.size() < 107) targets.push_back(rng.below(p));
+      for (const Vertex y : targets) {
+        const auto want = reference_path(parent, x, y);
+        ASSERT_EQ(c.shortest_path(x, y), want)
+            << "p=" << p << " " << x << " -> " << y;
+        ASSERT_EQ(c.distance(x, y), want.size() - 1)
+            << "p=" << p << " " << x << " -> " << y;
+        ++checked;
+      }
+    }
+    EXPECT_GE(checked, 10000u);
+  }
+}
+
+// The machine-independent work gate: a p-cycle route must not scan O(p)
+// ports. At the 20k-node cycle the mean is a few thousand, against the
+// ~3p a forward BFS to a random target pays.
+TEST(PCycle, ShortestPathScansFarFewerThanPPorts) {
+  const PCycle c(cycle_prime(20000));
+  ASSERT_EQ(c.p(), 80021u);
+  dex::support::Rng rng(3);
+  const unsigned kPaths = 2000;
+  const auto before = c.scanned_ports();
+  for (unsigned i = 0; i < kPaths; ++i) {
+    (void)c.shortest_path(rng.below(c.p()), rng.below(c.p()));
+  }
+  const double mean =
+      static_cast<double>(c.scanned_ports() - before) / kPaths;
+  EXPECT_LT(mean, static_cast<double>(c.p()) / 20) << "mean scanned " << mean;
 }
 
 TEST(PCycle, PathToZeroMatchesDistance) {
